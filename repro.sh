@@ -4,7 +4,7 @@
 # at the repository root (the files EXPERIMENTS.md numbers come from).
 #
 #   ./repro.sh           full pipeline (build, all tests, TSan sweep+shard
-#                        +stream+serving+chaos+phase tests, ASan/UBSan fault
+#                        +stream+serving+chaos+phase tests, ASan/UBSan crc+fault
 #                        +trace+mmap+interpreter+serving+wire+chaos+phase
 #                        tests, the
 #                        throughput/capture/end-to-end/simd/parallel/serving/
@@ -14,7 +14,7 @@
 #                        determinism gates, every bench binary)
 #   ./repro.sh --quick   build + the parallel-sweep, streaming and serving
 #                        tests (native, TSan, one chaos campaign) + the
-#                        fault-injection, trace-format, mmap-reader,
+#                        CRC-32, fault-injection, trace-format, mmap-reader,
 #                        replay-equivalence, stack-sweep, sharded-sweep,
 #                        fast-interpreter differential, stream,
 #                        serving, wire and chaos tests (native and
@@ -22,7 +22,8 @@
 #                        --sweep-jobs/--reader/--space determinism checks on
 #                        bench_fig3 and stcache_tune, a --phases timeline
 #                        cmp across engines and shard counts,
-#                        + the daemon-vs-in-process serving cmp; minutes,
+#                        + the daemon-vs-in-process serving cmp (both
+#                        CRC-32 flavours); minutes,
 #                        not the full regeneration
 #
 # See docs/experiments.md for what each bench binary reproduces.
@@ -81,8 +82,12 @@ RESILIENCE_FILTER=
 # length-prefixed frame parsing and the chunk pool's recycled buffers are
 # classic overrun territory.
 cmake -B build-asan -S . -DSTCACHE_SANITIZE=address,undefined > /dev/null
-cmake --build build-asan -j "$(nproc)" --target fault_test trace_io_test mmap_trace_test replay_equivalence_test stack_sweep_test fast_cpu_test stream_test shard_queue_test serving_test wire_test serving_resilience_test phase_test phase_mix_test
+cmake --build build-asan -j "$(nproc)" --target crc32_test fault_test trace_io_test mmap_trace_test replay_equivalence_test stack_sweep_test fast_cpu_test stream_test shard_queue_test serving_test wire_test serving_resilience_test phase_test phase_mix_test
 ./build-asan/tests/fault_test
+# crc32_test drives the PCLMULQDQ folding flavour and slice-by-8 over every
+# length and misalignment, where a fold reading past the buffer would
+# still produce a plausible checksum.
+./build-asan/tests/crc32_test
 ./build-asan/tests/trace_io_test
 # The out-of-core reader does raw pointer arithmetic over an mmap'd file
 # (chunk slices, page-aligned MADV_DONTNEED spans, a hand-decoded footer):
@@ -147,7 +152,7 @@ serve_cmp() {
 }
 
 if [ "$QUICK" = "1" ]; then
-    STCACHE_BIG_TRACE_RECORDS=2000000 ctest --test-dir build -R 'ThreadPool|SweepRunner|ShardedSweep|Fault|TraceIo|MmapTrace|ReplayEquivalence|StackSweep|FastCpu|Workload|Spsc|Stream|BankAccumulator|PackedTraceIo|ChunkPool|ShardQueue|Serving|Wire|Phase' --output-on-failure
+    STCACHE_BIG_TRACE_RECORDS=2000000 ctest --test-dir build -R 'Crc32|ThreadPool|SweepRunner|ShardedSweep|Fault|TraceIo|MmapTrace|ReplayEquivalence|StackSweep|FastCpu|Workload|Spsc|Stream|BankAccumulator|PackedTraceIo|ChunkPool|ShardQueue|Serving|Wire|Phase' --output-on-failure
 
     # Determinism gate: the parallel sweep must reproduce the serial table
     # byte for byte (metrics go to stderr, so stdout is comparable).
@@ -193,6 +198,12 @@ if [ "$QUICK" = "1" ]; then
     cmp /tmp/stcache_tune_buf.txt /tmp/stcache_tune_mm.txt
     ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive --reader mmap --sweep-jobs 4 > /tmp/stcache_tune_mm.txt
     cmp /tmp/stcache_tune_buf.txt /tmp/stcache_tune_mm.txt
+    # STCACHE_SIMD=0 forces the portable CRC-32 (and scalar sweep kernel):
+    # footer checks must pass and the output must not move.
+    STCACHE_SIMD=0 ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive --reader buffered > /tmp/stcache_tune_mm.txt
+    cmp /tmp/stcache_tune_buf.txt /tmp/stcache_tune_mm.txt
+    STCACHE_SIMD=0 ./build/tools/stcache_tune /tmp/stcache_repro.stct --exhaustive --reader mmap > /tmp/stcache_tune_mm.txt
+    cmp /tmp/stcache_tune_buf.txt /tmp/stcache_tune_mm.txt
     rm -f /tmp/stcache_repro.stct
     # Scaled-space gate: the generalized oneshot sweep's --space report
     # must be byte-identical across engines and shard counts.
@@ -217,6 +228,12 @@ if [ "$QUICK" = "1" ]; then
     start_serving_daemon
     serve_cmp crc I
     stop_serving_daemon
+    # Same gate with the portable CRC-32 flavour on both ends of the wire.
+    export STCACHE_SIMD=0
+    start_serving_daemon
+    serve_cmp crc I
+    stop_serving_daemon
+    unset STCACHE_SIMD
     echo "Quick pass done: sweep/equivalence/interpreter/serving tests (native + sanitizers), --jobs, --engine, --pipeline, --sweep-jobs, --reader, --phases and daemon determinism ok."
     exit 0
 fi
@@ -255,6 +272,10 @@ for wl in crc ucbqsort; do
     STCACHE_NO_MMAP=1 ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive --reader mmap > /tmp/stcache_tune_mm.txt
     cmp /tmp/stcache_tune_buf.txt /tmp/stcache_tune_mm.txt
     ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive --reader mmap --sweep-jobs 4 > /tmp/stcache_tune_mm.txt
+    cmp /tmp/stcache_tune_buf.txt /tmp/stcache_tune_mm.txt
+    STCACHE_SIMD=0 ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive --reader buffered > /tmp/stcache_tune_mm.txt
+    cmp /tmp/stcache_tune_buf.txt /tmp/stcache_tune_mm.txt
+    STCACHE_SIMD=0 ./build/tools/stcache_tune /tmp/stcache_repro.stct "$streamsel" --exhaustive --reader mmap > /tmp/stcache_tune_mm.txt
     cmp /tmp/stcache_tune_buf.txt /tmp/stcache_tune_mm.txt
     rm -f /tmp/stcache_repro.stct
   done
@@ -308,7 +329,17 @@ for wl in crc ucbqsort; do
   done
 done
 stop_serving_daemon
-echo "[repro] daemon-vs-in-process serving determinism ok"
+# Again with the portable CRC-32 flavour (STCACHE_SIMD=0) on both ends.
+export STCACHE_SIMD=0
+start_serving_daemon
+for wl in crc ucbqsort; do
+  for streamsel in I D; do
+    serve_cmp "$wl" "$streamsel"
+  done
+done
+stop_serving_daemon
+unset STCACHE_SIMD
+echo "[repro] daemon-vs-in-process serving determinism ok (both CRC-32 flavours)"
 
 # Throughput gates: a fresh bench_replay_throughput run must stay within
 # tolerance (default 20% per engine; STCACHE_BENCH_TOLERANCE overrides) of

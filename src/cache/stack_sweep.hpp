@@ -82,7 +82,8 @@
 // and selected per-sim at construction when the running CPU reports AVX2.
 // The scalar kernel stays the portable fallback and the differential
 // suites run both flavors; STCACHE_SIMD=0 in the environment or
-// set_stack_sweep_simd(false) forces scalar. Both flavors produce
+// set_stack_sweep_simd(false) forces scalar (the variable also forces the
+// portable CRC-32 flavour, util/crc32.hpp). Both flavors produce
 // bit-identical CacheStats by construction — the SIMD lanes only
 // restructure the probe/scan, never the update order.
 #pragma once

@@ -71,9 +71,9 @@ void TuneClient::send(std::span<const std::uint32_t> packed) {
   STC_ASSERT(!finished_, "tune client: send() after finish()");
   while (!packed.empty()) {
     const std::size_t n = std::min(packed.size(), opts_.chunk_words);
-    const std::vector<std::uint8_t> payload = encode_chunk(packed.first(n));
+    encode_chunk(packed.first(n), chunk_buf_);
     try {
-      write_frame(fd_, FrameType::kChunk, payload,
+      write_frame(fd_, FrameType::kChunk, chunk_buf_,
                   wire_deadline_after(opts_.io_timeout_ms));
     } catch (const WireTimeout& e) {
       throw TuneError(TuneErrorKind::kTimeout, e.what());

@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "serve/wire.hpp"
 #include "util/error.hpp"
@@ -105,6 +106,7 @@ class TuneClient {
   ClientOptions opts_;
   std::uint64_t words_sent_ = 0;
   bool finished_ = false;
+  std::vector<std::uint8_t> chunk_buf_;  // CHUNK payload, reused by send()
 };
 
 // One-shot convenience: open a session, stream `packed`, return the

@@ -6,6 +6,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cstring>
 
@@ -45,6 +46,29 @@ std::uint64_t get_u64(const std::uint8_t* p) {
   std::uint64_t v = 0;
   for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
   return v;
+}
+
+// Bulk u32 arrays (CHUNK words). Little-endian on the wire is the
+// in-memory layout of a little-endian host, so there both directions are
+// one memcpy; other hosts keep the explicit byte loop.
+void put_u32s(std::uint8_t* dst, std::span<const std::uint32_t> words) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, words.data(), 4 * words.size());
+  } else {
+    for (std::uint32_t w : words) {
+      for (int i = 0; i < 4; ++i) {
+        *dst++ = static_cast<std::uint8_t>(w >> (8 * i));
+      }
+    }
+  }
+}
+
+void get_u32s(std::uint32_t* dst, const std::uint8_t* src, std::size_t count) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(dst, src, 4 * count);
+  } else {
+    for (std::size_t i = 0; i < count; ++i) dst[i] = get_u32(src + 4 * i);
+  }
 }
 
 // CacheStats counters in cache/stats.hpp declaration order — the VERDICT
@@ -138,19 +162,20 @@ Hello decode_hello(std::span<const std::uint8_t> payload) {
   return hello;
 }
 
-std::vector<std::uint8_t> encode_chunk(std::span<const std::uint32_t> words) {
+void encode_chunk(std::span<const std::uint32_t> words,
+                  std::vector<std::uint8_t>& out) {
   STC_ASSERT(!words.empty() && words.size() <= kMaxChunkWords,
              "encode_chunk: bad word count");
+  out.resize(8 + 4 * words.size());
+  put_u32s(out.data() + 8, words);
+  const std::uint32_t header[2] = {static_cast<std::uint32_t>(words.size()),
+                                   crc32(out.data() + 8, 4 * words.size())};
+  put_u32s(out.data(), header);
+}
+
+std::vector<std::uint8_t> encode_chunk(std::span<const std::uint32_t> words) {
   std::vector<std::uint8_t> out;
-  out.reserve(8 + 4 * words.size());
-  put_u32(out, static_cast<std::uint32_t>(words.size()));
-  put_u32(out, 0);  // crc placeholder
-  for (std::uint32_t w : words) put_u32(out, w);
-  const std::uint32_t crc = crc32(out.data() + 8, 4 * words.size());
-  out[4] = static_cast<std::uint8_t>(crc);
-  out[5] = static_cast<std::uint8_t>(crc >> 8);
-  out[6] = static_cast<std::uint8_t>(crc >> 16);
-  out[7] = static_cast<std::uint8_t>(crc >> 24);
+  encode_chunk(words, out);
   return out;
 }
 
@@ -167,11 +192,7 @@ void decode_chunk(std::span<const std::uint8_t> payload, PooledChunk& out) {
   const std::uint32_t actual = crc32(payload.data() + 8, std::size_t{4} * count);
   if (declared != actual) fail("chunk: crc mismatch");
   if (out.words.size() < count) out.words.resize(count);
-  // Word bytes are little-endian on the wire; decode explicitly so the
-  // protocol stays endian-portable.
-  for (std::uint32_t i = 0; i < count; ++i) {
-    out.words[i] = get_u32(payload.data() + 8 + std::size_t{4} * i);
-  }
+  get_u32s(out.words.data(), payload.data() + 8, count);
   out.count = count;
 }
 

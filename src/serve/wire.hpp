@@ -126,6 +126,10 @@ struct Hello {
 Hello decode_hello(std::span<const std::uint8_t> payload);
 
 std::vector<std::uint8_t> encode_chunk(std::span<const std::uint32_t> words);
+// Same bytes, written into `out` (resized to the payload; its capacity is
+// reused, so a sender encoding chunk after chunk allocates once).
+void encode_chunk(std::span<const std::uint32_t> words,
+                  std::vector<std::uint8_t>& out);
 // Copies the words into `out` (resizing as needed) and verifies the
 // declared CRC-32; throws Error mentioning "crc" on a checksum mismatch
 // and "chunk" on structural problems.

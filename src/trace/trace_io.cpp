@@ -54,57 +54,96 @@ std::uint64_t get_u64(std::istream& is) {
   return lo | (hi << 32);
 }
 
-// Shared front half of the readers: header validation, record-count sizing
-// against the actual stream length, and one bulk read of the payload.
-struct RawPayload {
-  std::vector<unsigned char> bytes;
+// v2 footer: CRC-32 over the raw record payload. A mismatch means the
+// records were corrupted in storage or transit — every downstream number
+// would be quietly wrong, so reject the whole trace.
+void check_footer(std::istream& is, std::uint32_t version, const Crc32& crc) {
+  if (version < 2) return;
+  const std::uint32_t stored = get_u32(is);
+  if (stored != crc.value()) {
+    fail("trace read: CRC mismatch (stored " + std::to_string(stored) +
+         ", computed " + std::to_string(crc.value()) +
+         ") — the record payload is corrupted");
+  }
+}
+
+// Shared front half of the buffered readers: header validation and, when
+// the stream is seekable, the record count checked against the bytes
+// actually present.
+struct TraceHeader {
   std::uint64_t count = 0;
   std::uint32_t version = 0;
+  bool sized = false;  // count validated against the stream length
 };
 
-RawPayload read_payload(std::istream& is) {
-  RawPayload p;
+TraceHeader read_header(std::istream& is) {
+  TraceHeader h;
   char magic[4];
   is.read(magic, 4);
   if (!is || std::memcmp(magic, kTraceMagic, 4) != 0) {
     fail("trace read: bad magic (not an STCT trace)");
   }
-  p.version = get_u32(is);
-  if (p.version < kTraceMinFormatVersion || p.version > kTraceFormatVersion) {
-    fail("trace read: unsupported format version " + std::to_string(p.version));
+  h.version = get_u32(is);
+  if (h.version < kTraceMinFormatVersion || h.version > kTraceFormatVersion) {
+    fail("trace read: unsupported format version " + std::to_string(h.version));
   }
-  p.count = get_u64(is);
+  h.count = get_u64(is);
   // Guard against absurd counts before allocating.
-  if (p.count > (1ull << 32)) fail("trace read: implausible record count");
-  const std::uint64_t payload_bytes = p.count * kRecordBytes;
+  if (h.count > (1ull << 32)) fail("trace read: implausible record count");
 
   // When the stream is seekable (files, string streams — every production
   // reader), validate the declared record count against the bytes actually
-  // present BEFORE allocating payload-sized buffers, so a corrupted header
-  // fails with a clean error instead of a multi-gigabyte allocation.
-  {
-    const std::istream::pos_type pos = is.tellg();
-    if (pos != std::istream::pos_type(-1)) {
-      is.seekg(0, std::ios::end);
-      const std::istream::pos_type end = is.tellg();
-      is.seekg(pos);
-      if (!is || end == std::istream::pos_type(-1)) {
-        fail("trace read: stream failure while sizing the record section");
-      }
-      const std::uint64_t avail = static_cast<std::uint64_t>(end - pos);
-      const std::uint64_t need =
-          payload_bytes + (p.version >= 2 ? 4u : 0u);  // records + CRC footer
-      if (avail < need) fail("trace read: truncated record section");
+  // present BEFORE reserving record vectors, so a corrupted header fails
+  // with a clean error instead of a multi-gigabyte allocation.
+  const std::istream::pos_type pos = is.tellg();
+  if (pos != std::istream::pos_type(-1)) {
+    is.seekg(0, std::ios::end);
+    const std::istream::pos_type end = is.tellg();
+    is.seekg(pos);
+    if (!is || end == std::istream::pos_type(-1)) {
+      fail("trace read: stream failure while sizing the record section");
     }
+    const std::uint64_t avail = static_cast<std::uint64_t>(end - pos);
+    const std::uint64_t need = h.count * kRecordBytes +
+                               (h.version >= 2 ? 4u : 0u);  // + CRC footer
+    if (avail < need) fail("trace read: truncated record section");
+    h.sized = true;
   }
+  return h;
+}
 
-  p.bytes.resize(payload_bytes);
-  if (payload_bytes > 0) {
-    is.read(reinterpret_cast<char*>(p.bytes.data()),
-            static_cast<std::streamsize>(payload_bytes));
+// Records to reserve up front: the declared count once it was checked
+// against the stream length, else at most this many. An unseekable
+// stream's header may claim 2^32 records; the vectors still grow past the
+// cap when the records really are there, and a short stream fails at its
+// first missing slice.
+constexpr std::uint64_t kUnsizedReserveRecords = std::uint64_t{1} << 20;
+
+std::size_t reserve_records(const TraceHeader& h) {
+  return static_cast<std::size_t>(
+      h.sized ? h.count : std::min(h.count, kUnsizedReserveRecords));
+}
+
+// Streams the record section through one fixed slice buffer: each slice
+// is read, CRC-accumulated and handed to `decode(bytes, records)` while
+// cache-hot, and the v2 footer is verified after the last. The readers
+// never hold more than one slice of raw records, whatever the trace size.
+template <class Decode>
+void for_each_slice(std::istream& is, const TraceHeader& h, Decode&& decode) {
+  constexpr std::uint64_t kSliceRecords = 8192;
+  std::vector<unsigned char> slice(static_cast<std::size_t>(
+      std::min(kSliceRecords, h.count) * kRecordBytes));
+  Crc32 crc;
+  for (std::uint64_t done = 0; done < h.count; done += kSliceRecords) {
+    const std::uint64_t batch = std::min(kSliceRecords, h.count - done);
+    const std::size_t bytes = static_cast<std::size_t>(batch * kRecordBytes);
+    is.read(reinterpret_cast<char*>(slice.data()),
+            static_cast<std::streamsize>(bytes));
     if (!is) fail("trace read: truncated record section");
+    crc.update(slice.data(), bytes);
+    decode(slice.data(), batch);
   }
-  return p;
+  check_footer(is, h.version, crc);
 }
 
 // Decode `n` raw records into the two split packed streams (pack_stream
@@ -132,19 +171,6 @@ void decode_split(const unsigned char* slice, std::uint64_t n,
       default:
         fail("trace read: invalid access kind " + std::to_string(p[0]));
     }
-  }
-}
-
-// v2 footer: CRC-32 over the raw record payload. A mismatch means the
-// records were corrupted in storage or transit — every downstream number
-// would be quietly wrong, so reject the whole trace.
-void check_footer(std::istream& is, std::uint32_t version, const Crc32& crc) {
-  if (version < 2) return;
-  const std::uint32_t stored = get_u32(is);
-  if (stored != crc.value()) {
-    fail("trace read: CRC mismatch (stored " + std::to_string(stored) +
-         ", computed " + std::to_string(crc.value()) +
-         ") — the record payload is corrupted");
   }
 }
 
@@ -186,19 +212,10 @@ Trace read_trace(std::istream& is) {
 
 void read_trace(std::istream& is, Trace& trace) {
   trace.clear();
-  const RawPayload payload = read_payload(is);
-
-  // One streaming sweep that interleaves CRC accumulation and decode over
-  // 8192-record slices (the slice is re-touched while still cache-hot; the
-  // payload itself is walked exactly once).
-  trace.reserve(payload.count);
-  Crc32 crc;
-  constexpr std::uint64_t kSliceRecords = 8192;
-  for (std::uint64_t done = 0; done < payload.count; done += kSliceRecords) {
-    const std::uint64_t batch = std::min(kSliceRecords, payload.count - done);
-    const unsigned char* slice = payload.bytes.data() + done * kRecordBytes;
-    crc.update(slice, static_cast<std::size_t>(batch * kRecordBytes));
-    for (std::uint64_t i = 0; i < batch; ++i) {
+  const TraceHeader h = read_header(is);
+  trace.reserve(reserve_records(h));
+  for_each_slice(is, h, [&](const unsigned char* slice, std::uint64_t n) {
+    for (std::uint64_t i = 0; i < n; ++i) {
       const unsigned char* p = slice + i * kRecordBytes;
       if (p[0] > static_cast<unsigned char>(AccessKind::kWrite)) {
         fail("trace read: invalid access kind " + std::to_string(p[0]));
@@ -211,28 +228,21 @@ void read_trace(std::istream& is, Trace& trace) {
                (static_cast<std::uint32_t>(p[4]) << 24);
       trace.push_back(r);
     }
-  }
-  check_footer(is, payload.version, crc);
+  });
 }
 
 PackedSplitTrace read_packed_trace(std::istream& is) {
-  const RawPayload payload = read_payload(is);
+  const TraceHeader h = read_header(is);
   PackedSplitTrace out;
   // A trace is mostly instruction fetches (one per instruction vs. one
   // data access per load/store), so the exact split is only known after
   // the walk; reserving the full count for each stream wastes at most one
   // transient allocation and never reallocates mid-decode.
-  out.ifetch.reserve(payload.count);
-  out.data.reserve(payload.count);
-  Crc32 crc;
-  constexpr std::uint64_t kSliceRecords = 8192;
-  for (std::uint64_t done = 0; done < payload.count; done += kSliceRecords) {
-    const std::uint64_t batch = std::min(kSliceRecords, payload.count - done);
-    const unsigned char* slice = payload.bytes.data() + done * kRecordBytes;
-    crc.update(slice, static_cast<std::size_t>(batch * kRecordBytes));
-    decode_split(slice, batch, out.ifetch, out.data);
-  }
-  check_footer(is, payload.version, crc);
+  out.ifetch.reserve(reserve_records(h));
+  out.data.reserve(reserve_records(h));
+  for_each_slice(is, h, [&](const unsigned char* slice, std::uint64_t n) {
+    decode_split(slice, n, out.ifetch, out.data);
+  });
   return out;
 }
 

@@ -48,8 +48,10 @@ void load_trace(const std::string& path, Trace& out);
 // Replay-only bulk reader: decode an STCT file's records straight into the
 // two split packed streams (pack_stream format: bit 31 = write, bits 30..0
 // = 16 B block number), skipping the TraceRecord AoS intermediate that
-// replay paths immediately split and pack anyway. One bulk read of the
-// payload, same validation as read_trace including the v2 CRC-32 footer.
+// replay paths immediately split and pack anyway. Like read_trace it
+// streams the records through one 8192-record slice buffer (never a copy
+// of the whole payload), with the same validation including the v2 CRC-32
+// footer.
 // Bit-identical to pack_stream over split_trace(load_trace(path)).
 struct PackedSplitTrace {
   std::vector<std::uint32_t> ifetch;  // instruction fetches

@@ -2,9 +2,22 @@
 // zlib and PNG use, so trace files can be cross-checked with standard tools
 // (`python3 -c "import zlib, sys; print(zlib.crc32(...))"`).
 //
-// Header-only with a constexpr-generated table: no init-order concerns, and
-// the incremental Crc32 accumulator lets writers checksum multi-million
-// record traces buffer by buffer without a second pass over the data.
+// Crc32::update dispatches at runtime between two flavours that compute
+// the same value (util/crc32.cpp):
+//
+//   slice-by-8  portable; eight table lookups per 8 input bytes, loaded
+//               with little-endian memcpy (big-endian hosts run the
+//               bytewise loop instead).
+//   pclmul      4x128-bit carry-less-multiply folding (Intel, "Fast CRC
+//               Computation for Generic Polynomials Using PCLMULQDQ",
+//               2009) over the 16-byte-aligned bulk of any update of
+//               64 bytes or more; the head and tail bytes go through
+//               slice-by-8. Selected when the CPU reports PCLMULQDQ and
+//               SSE4.1, unless STCACHE_SIMD=0 (which also forces the
+//               scalar stack-sweep kernel) or set_crc32_simd(false).
+//
+// The bytewise table loop below stays as the reference the differential
+// tests (tests/crc32_test.cpp) compare both flavours against.
 #pragma once
 
 #include <array>
@@ -27,18 +40,37 @@ inline constexpr std::array<std::uint32_t, 256> kCrc32Table = [] {
   return table;
 }();
 
+// Reference: one table lookup per byte over the raw (pre-inverted)
+// register state.
+inline std::uint32_t crc32_update_bytewise(std::uint32_t state,
+                                           const unsigned char* p,
+                                           std::size_t len) {
+  for (std::size_t i = 0; i < len; ++i) {
+    state = kCrc32Table[(state ^ p[i]) & 0xFFu] ^ (state >> 8);
+  }
+  return state;
+}
+
+// The dispatched update over the raw register state.
+std::uint32_t crc32_update(std::uint32_t state, const void* data,
+                           std::size_t len);
+
 }  // namespace detail
+
+// True when the PCLMULQDQ flavour is compiled in AND the running CPU
+// supports it.
+bool crc32_simd_available();
+// available() && not disabled (STCACHE_SIMD=0 or set_crc32_simd(false)).
+bool crc32_simd_enabled();
+// Force the PCLMULQDQ flavour on/off (clamped to availability). Test-only,
+// like set_stack_sweep_simd: lets one process check both flavours.
+void set_crc32_simd(bool on);
 
 // Incremental CRC-32 accumulator: feed bytes in any chunking, read value().
 class Crc32 {
  public:
   void update(const void* data, std::size_t len) {
-    const unsigned char* p = static_cast<const unsigned char*>(data);
-    std::uint32_t c = state_;
-    for (std::size_t i = 0; i < len; ++i) {
-      c = detail::kCrc32Table[(c ^ p[i]) & 0xFFu] ^ (c >> 8);
-    }
-    state_ = c;
+    state_ = detail::crc32_update(state_, data, len);
   }
 
   std::uint32_t value() const { return state_ ^ 0xFFFFFFFFu; }

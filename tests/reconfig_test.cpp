@@ -9,6 +9,9 @@
 //  * coherence: under the default policy no dirty line is ever unreachable.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "cache/configurable_cache.hpp"
 #include "util/rng.hpp"
 
@@ -31,10 +34,14 @@ std::vector<std::uint32_t> warm(ConfigurableCache& c, std::uint64_t seed,
   return addrs;
 }
 
+// A (from, to) configuration pair. Held as std::string so gtest prints the
+// names themselves; a const char* parameter prints as its run-time address,
+// which would make the discovered test names change from build to build.
+using Transition = std::pair<std::string, std::string>;
+
 // --- associativity increases (Figure 5a) -----------------------------------
 
-class AssocIncreaseTest
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+class AssocIncreaseTest : public ::testing::TestWithParam<Transition> {};
 
 TEST_P(AssocIncreaseTest, PreservesAllHitsAtZeroCost) {
   auto [from, to] = GetParam();
@@ -55,17 +62,16 @@ TEST_P(AssocIncreaseTest, PreservesAllHitsAtZeroCost) {
 
 INSTANTIATE_TEST_SUITE_P(
     Transitions, AssocIncreaseTest,
-    ::testing::Values(std::pair{"8K_1W_16B", "8K_2W_16B"},
-                      std::pair{"8K_2W_16B", "8K_4W_16B"},
-                      std::pair{"8K_1W_16B", "8K_4W_16B"},
-                      std::pair{"4K_1W_16B", "4K_2W_16B"},
-                      std::pair{"8K_1W_64B", "8K_4W_64B"},
-                      std::pair{"4K_1W_32B", "4K_2W_32B"}));
+    ::testing::Values(Transition{"8K_1W_16B", "8K_2W_16B"},
+                      Transition{"8K_2W_16B", "8K_4W_16B"},
+                      Transition{"8K_1W_16B", "8K_4W_16B"},
+                      Transition{"4K_1W_16B", "4K_2W_16B"},
+                      Transition{"8K_1W_64B", "8K_4W_64B"},
+                      Transition{"4K_1W_32B", "4K_2W_32B"}));
 
 // --- line-size changes are always free --------------------------------------
 
-class LineChangeTest
-    : public ::testing::TestWithParam<std::pair<const char*, const char*>> {};
+class LineChangeTest : public ::testing::TestWithParam<Transition> {};
 
 TEST_P(LineChangeTest, PreservesAllHitsAtZeroCost) {
   auto [from, to] = GetParam();
@@ -82,11 +88,11 @@ TEST_P(LineChangeTest, PreservesAllHitsAtZeroCost) {
 
 INSTANTIATE_TEST_SUITE_P(
     Transitions, LineChangeTest,
-    ::testing::Values(std::pair{"4K_1W_16B", "4K_1W_32B"},
-                      std::pair{"4K_1W_32B", "4K_1W_64B"},
-                      std::pair{"4K_1W_64B", "4K_1W_16B"},  // decreasing too
-                      std::pair{"8K_2W_16B", "8K_2W_64B"},
-                      std::pair{"2K_1W_64B", "2K_1W_16B"}));
+    ::testing::Values(Transition{"4K_1W_16B", "4K_1W_32B"},
+                      Transition{"4K_1W_32B", "4K_1W_64B"},
+                      Transition{"4K_1W_64B", "4K_1W_16B"},  // decreasing too
+                      Transition{"8K_2W_16B", "8K_2W_64B"},
+                      Transition{"2K_1W_64B", "2K_1W_16B"}));
 
 // --- size increases ----------------------------------------------------------
 

@@ -4,6 +4,9 @@
 #include <cstdio>
 #include <filesystem>
 #include <sstream>
+#include <streambuf>
+#include <string>
+#include <vector>
 
 #include "trace/trace_io.hpp"
 #include "util/error.hpp"
@@ -179,6 +182,96 @@ TEST(TraceIo, OutParamOverloadsReuseBuffer) {
   load_trace(path, out);
   EXPECT_EQ(out, big);
   std::remove(path.c_str());
+}
+
+// --- golden bytes ---------------------------------------------------------------
+
+// One small STCT v2 file pinned byte for byte, footer included: the
+// footer is zlib's CRC-32 over the 15 record bytes (python3 -c 'import
+// zlib, struct; print(hex(zlib.crc32(struct.pack("<BIBIBI", 0, 0x1234,
+// 2, 0xDEADBEEF, 1, 0))))' -> 0xa0dc670a).
+TEST(TraceIo, SmallFileIsPinnedToGoldenBytes) {
+  const Trace t = {{0x1234, AccessKind::kIFetch},
+                   {0xDEADBEEF, AccessKind::kWrite},
+                   {0x0, AccessKind::kRead}};
+  const unsigned char golden[] = {
+      0x53, 0x54, 0x43, 0x54, 0x02, 0x00, 0x00, 0x00, 0x03, 0x00, 0x00, 0x00,
+      0x00, 0x00, 0x00, 0x00, 0x00, 0x34, 0x12, 0x00, 0x00, 0x02, 0xEF, 0xBE,
+      0xAD, 0xDE, 0x01, 0x00, 0x00, 0x00, 0x00, 0x0A, 0x67, 0xDC, 0xA0};
+  std::stringstream ss;
+  write_trace(ss, t);
+  EXPECT_EQ(ss.str(), std::string(reinterpret_cast<const char*>(golden),
+                                  sizeof golden));
+  std::stringstream in(ss.str());
+  EXPECT_EQ(read_trace(in), t);
+  std::stringstream packed_in(ss.str());
+  const PackedSplitTrace packed = read_packed_trace(packed_in);
+  EXPECT_EQ(packed.ifetch, std::vector<std::uint32_t>{0x1234u >> 4});
+  EXPECT_EQ(packed.data, (std::vector<std::uint32_t>{
+                             (0xDEADBEEFu >> 4) | 0x8000'0000u, 0u}));
+}
+
+// --- unseekable streams ----------------------------------------------------------
+
+// A read-only streambuf that cannot seek, like a pipe: tellg() reports
+// -1, so the readers cannot check the declared record count up front.
+class UnseekableBuf : public std::streambuf {
+ public:
+  explicit UnseekableBuf(std::string bytes) : bytes_(std::move(bytes)) {
+    setg(bytes_.data(), bytes_.data(), bytes_.data() + bytes_.size());
+  }
+
+ private:
+  std::string bytes_;
+};
+
+// A header declaring 2^32 records (21 GB of payload) with 10 records
+// behind it must fail with a typed error at the first missing slice —
+// never by allocating or zero-filling anything sized by the claim.
+TEST(TraceIo, UnseekableStreamWithInflatedCountFailsWithoutOverAllocating) {
+  std::stringstream ss;
+  write_trace(ss, random_trace(10, 10));
+  std::string bytes = ss.str();
+  const std::uint64_t claimed = std::uint64_t{1} << 32;
+  for (int i = 0; i < 8; ++i) {
+    bytes[8 + i] = static_cast<char>(claimed >> (8 * i));
+  }
+  {
+    UnseekableBuf buf(bytes);
+    std::istream is(&buf);
+    ASSERT_EQ(is.tellg(), std::istream::pos_type(-1));
+    try {
+      read_trace(is);
+      FAIL() << "inflated record count was accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("truncated"), std::string::npos);
+    }
+  }
+  {
+    UnseekableBuf buf(bytes);
+    std::istream is(&buf);
+    EXPECT_THROW(read_packed_trace(is), Error);
+  }
+}
+
+// An honest unseekable stream larger than the unvalidated reserve cap
+// still reads completely: the record vectors grow past the cap.
+TEST(TraceIo, UnseekableStreamReadsPastTheReserveCap) {
+  const Trace t = random_trace(11, 1'200'000);
+  std::stringstream ss;
+  write_trace(ss, t);
+  {
+    UnseekableBuf buf(ss.str());
+    std::istream is(&buf);
+    EXPECT_EQ(read_trace(is), t);
+  }
+  UnseekableBuf buf(ss.str());
+  std::istream is(&buf);
+  const PackedSplitTrace unsized = read_packed_trace(is);
+  std::stringstream seekable(ss.str());
+  const PackedSplitTrace sized = read_packed_trace(seekable);
+  EXPECT_EQ(unsized.ifetch, sized.ifetch);
+  EXPECT_EQ(unsized.data, sized.data);
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -216,6 +217,64 @@ TEST(Wire, ErrorRetryAfterRoundTripsAndDefaultsToZero) {
 
 TEST(Wire, TimeoutCodeIsNamed) {
   EXPECT_STREQ(serve::to_string(WireErrorCode::kTimeout), "timeout");
+}
+
+// --- CHUNK golden bytes -------------------------------------------------------
+
+// The bulk little-endian codec must emit exactly the bytes the per-byte
+// codec did: count, CRC-32, then each word, all little-endian. The CRC is
+// zlib's over the 20 word bytes (python3 -c 'import zlib, struct;
+// print(hex(zlib.crc32(struct.pack("<5I", 1, 0x80000010, 0xDEADBEEF,
+// 0x12345678, 0x7FFFFFFF))))' -> 0x12181da6).
+TEST(Wire, ChunkEncodingIsPinnedToGoldenBytes) {
+  const std::vector<std::uint32_t> words = {0x00000001u, 0x80000010u,
+                                            0xDEADBEEFu, 0x12345678u,
+                                            0x7FFFFFFFu};
+  const std::vector<std::uint8_t> golden = {
+      0x05, 0x00, 0x00, 0x00, 0xA6, 0x1D, 0x18, 0x12, 0x01, 0x00,
+      0x00, 0x00, 0x10, 0x00, 0x00, 0x80, 0xEF, 0xBE, 0xAD, 0xDE,
+      0x78, 0x56, 0x34, 0x12, 0xFF, 0xFF, 0xFF, 0x7F};
+  EXPECT_EQ(serve::encode_chunk(words), golden);
+
+  // The buffer-reusing overload writes the same bytes, whatever the
+  // buffer held before.
+  std::vector<std::uint8_t> reused(4096, 0xAB);
+  serve::encode_chunk(words, reused);
+  EXPECT_EQ(reused, golden);
+
+  PooledChunk chunk;
+  serve::decode_chunk(golden, chunk);
+  ASSERT_EQ(chunk.count, words.size());
+  EXPECT_EQ(std::vector<std::uint32_t>(chunk.valid_words().begin(),
+                                       chunk.valid_words().end()),
+            words);
+}
+
+TEST(Wire, OddWordCountsRoundTripThroughTheBulkCodec) {
+  std::vector<std::uint8_t> payload;
+  PooledChunk chunk;
+  for (const std::size_t n : {std::size_t{1}, std::size_t{3},
+                              serve::kMaxChunkWords}) {
+    std::vector<std::uint32_t> words(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      words[i] = static_cast<std::uint32_t>(i * 2654435761u);
+    }
+    serve::encode_chunk(words, payload);
+    ASSERT_EQ(payload.size(), 8 + 4 * n);
+    serve::decode_chunk(payload, chunk);
+    ASSERT_EQ(chunk.count, n);
+    EXPECT_TRUE(std::equal(words.begin(), words.end(), chunk.words.begin()))
+        << n << " words";
+  }
+  // A flipped word bit must still trip the CRC on the bulk path.
+  serve::encode_chunk(std::vector<std::uint32_t>{1, 2, 3}, payload);
+  payload[8 + 4 + 1] ^= 0x01;
+  try {
+    serve::decode_chunk(payload, chunk);
+    FAIL() << "corrupted chunk was accepted";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("crc"), std::string::npos);
+  }
 }
 
 }  // namespace
