@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <cstdlib>
+#include <exception>
 #include <future>
 #include <iostream>
 
@@ -215,6 +216,86 @@ CacheStats measure_config_packed(const CacheConfig& cfg,
   return sim.stats();
 }
 
+// Set-partitioned sweep state (jobs > 1). Everything a shard replay
+// touches lives here, on the heap, so moving the accumulator (the
+// defaulted noexcept moves below) never moves data a pool thread is
+// still reading or writing.
+struct BankAccumulator::Sharded {
+  Sharded(unsigned jobs_in, unsigned parts_in, unsigned shift_in)
+      : jobs(jobs_in), parts(parts_in), shift(shift_in), part_buf(parts_in),
+        shard_words(jobs_in, 0) {}
+
+  // The work unit is a (group, partition) item: group g indexes the
+  // sweep groups, then the geometry groups. Shard (p + g) mod jobs owns
+  // item (g, p), so the line-size traversals of one hot partition run on
+  // different shards.
+  void replay_shard(unsigned s) {
+    std::uint64_t words = 0;
+    unsigned g = 0;
+    const auto replay_group = [&](auto& replicas) {
+      for (unsigned p = (s + jobs - g % jobs) % jobs; p < parts; p += jobs) {
+        const std::vector<std::uint32_t>& bucket = part_buf[p];
+        if (bucket.empty()) continue;
+        replicas[s].replay(bucket);
+        words += bucket.size();
+      }
+      ++g;
+    };
+    for (std::vector<StackSweepSim>& replicas : stack) replay_group(replicas);
+    for (std::vector<NestedSweepSim>& replicas : nested) replay_group(replicas);
+    shard_words[s] += words;
+  }
+
+  // Scatter into set partitions (stream order preserved within each
+  // bucket — the only order that matters, since partitions never share a
+  // cache set), then queue every shard's replay on the pool and return.
+  void launch(std::span<const std::uint32_t> packed) {
+    for (std::vector<std::uint32_t>& bucket : part_buf) bucket.clear();
+    const std::uint32_t pmask = parts - 1;
+    for (const std::uint32_t word : packed) {
+      // Key bits [shift, shift + log2(parts)) of the block number (the
+      // write bit is stripped first; for the platform bank this is the
+      // historical bits 2..6).
+      part_buf[((word & FastCacheSim::kPackedBlockMask) >> shift) & pmask]
+          .push_back(word);
+    }
+    if (!pool) pool = std::make_unique<ThreadPool>(jobs);
+    for (unsigned s = 0; s < jobs; ++s) {
+      pending.push_back(pool->submit([this, s] { replay_shard(s); }));
+    }
+  }
+
+  // Block until the last launch's replays finish; every one is waited
+  // for before the first shard error (if any) is rethrown, so no replay
+  // still reads the buckets when the caller refills them.
+  void wait() {
+    std::exception_ptr error;
+    for (std::future<void>& f : pending) {
+      try {
+        f.get();
+      } catch (...) {
+        if (!error) error = std::current_exception();
+      }
+    }
+    pending.clear();
+    if (error) std::rethrow_exception(error);
+  }
+
+  const unsigned jobs;
+  const unsigned parts;  // scatter partitions (power of two, >= jobs)
+  const unsigned shift;  // low bit of the partition key
+  // Sim replicas per group, [group][shard].
+  std::vector<std::vector<StackSweepSim>> stack;
+  std::vector<std::vector<NestedSweepSim>> nested;
+  std::vector<std::vector<std::uint32_t>> part_buf;  // reused per feed
+  std::vector<std::uint64_t> shard_words;  // words replayed, per shard
+  std::vector<std::future<void>> pending;  // the last launch's replays
+  // `jobs` workers, spawned on first launch. Declared last: its
+  // destructor runs every queued replay and joins before the state above
+  // is destroyed.
+  std::unique_ptr<ThreadPool> pool;
+};
+
 BankAccumulator::BankAccumulator(std::span<const CacheConfig> configs,
                                  const TimingParams& timing,
                                  ReplayEngine engine, unsigned sweep_jobs)
@@ -259,19 +340,22 @@ BankAccumulator::BankAccumulator(std::span<const CacheConfig> configs,
       }
       if (!sweep_groups_.empty()) {
         if (sweep_jobs == 0) sweep_jobs = default_sweep_jobs();
-        parts_ = sweep_partitions();
-        jobs_ = std::min(clamp_jobs(static_cast<long>(sweep_jobs)), parts_);
+        const unsigned parts = sweep_partitions();
+        jobs_ = std::min(clamp_jobs(static_cast<long>(sweep_jobs)), parts);
         if (jobs_ > 1) {
           // One sim replica per shard per group; each shard accumulates
-          // the partitions it owns and stats() sums the Totals.
+          // the (group, partition) items it owns and stats() sums the
+          // Totals. The serial sim becomes shard 0's replica.
+          sharded_ = std::make_unique<Sharded>(jobs_, parts, 2);
           for (SweepGroup& g : sweep_groups_) {
-            g.shards.reserve(jobs_);
+            std::vector<StackSweepSim> replicas = std::move(g.shards);
+            g.shards.clear();
+            replicas.reserve(jobs_);
             for (unsigned s = 1; s < jobs_; ++s) {
-              g.shards.emplace_back(g.configs, timing);
+              replicas.emplace_back(g.configs, timing);
             }
+            sharded_->stack.push_back(std::move(replicas));
           }
-          part_buf_.resize(parts_);
-          shard_records_.assign(jobs_, 0);
         }
       }
       break;
@@ -350,21 +434,23 @@ BankAccumulator::BankAccumulator(std::span<const CacheGeometry> geoms,
                 k + static_cast<unsigned>(std::countr_zero(geo.num_sets())));
           }
         }
-        scatter_shift_ = max_shift;
         const unsigned key_bits =
             min_top > max_shift ? min_top - max_shift : 0;
-        parts_ = std::min(sweep_partitions(),
-                          key_bits >= 5 ? kMaxSweepPartitions : 1u << key_bits);
-        jobs_ = std::min(clamp_jobs(static_cast<long>(sweep_jobs)), parts_);
+        const unsigned parts =
+            std::min(sweep_partitions(),
+                     key_bits >= 5 ? kMaxSweepPartitions : 1u << key_bits);
+        jobs_ = std::min(clamp_jobs(static_cast<long>(sweep_jobs)), parts);
         if (jobs_ > 1) {
+          sharded_ = std::make_unique<Sharded>(jobs_, parts, max_shift);
           for (GeomSweepGroup& g : geom_groups_) {
-            g.shards.reserve(jobs_);
+            std::vector<NestedSweepSim> replicas = std::move(g.shards);
+            g.shards.clear();
+            replicas.reserve(jobs_);
             for (unsigned s = 1; s < jobs_; ++s) {
-              g.shards.emplace_back(g.geoms, timing);
+              replicas.emplace_back(g.geoms, timing);
             }
+            sharded_->nested.push_back(std::move(replicas));
           }
-          part_buf_.resize(parts_);
-          shard_records_.assign(jobs_, 0);
         }
       }
       break;
@@ -376,18 +462,6 @@ BankAccumulator::~BankAccumulator() = default;
 BankAccumulator::BankAccumulator(BankAccumulator&&) noexcept = default;
 BankAccumulator& BankAccumulator::operator=(BankAccumulator&&) noexcept =
     default;
-
-void BankAccumulator::replay_shard(unsigned shard) {
-  std::uint64_t fed = 0;
-  for (unsigned p = shard; p < parts_; p += jobs_) {
-    const std::vector<std::uint32_t>& bucket = part_buf_[p];
-    if (bucket.empty()) continue;
-    fed += bucket.size();
-    for (SweepGroup& g : sweep_groups_) g.shards[shard].replay(bucket);
-    for (GeomSweepGroup& g : geom_groups_) g.shards[shard].replay(bucket);
-  }
-  shard_records_[shard] += fed;
-}
 
 void BankAccumulator::feed(std::span<const std::uint32_t> packed) {
   words_fed_ += packed.size();
@@ -406,29 +480,11 @@ void BankAccumulator::feed(std::span<const std::uint32_t> packed) {
   }
   for (FastCacheSim& sim : fast_bank_) sim.replay(packed);
   for (FastGeomSim& sim : geom_fast_bank_) sim.replay(packed);
-  if (jobs_ > 1 && !packed.empty()) {
-    // Scatter into set partitions (stream order preserved within each
-    // bucket — the only order that matters, since partitions never share
-    // a cache set), then replay every shard's buckets through its sim
-    // replicas. Shard 0 runs here; the pool spawns on first use.
-    for (std::vector<std::uint32_t>& bucket : part_buf_) bucket.clear();
-    const std::uint32_t pmask = parts_ - 1;
-    for (const std::uint32_t word : packed) {
-      // Key bits [scatter_shift_, scatter_shift_ + log2(parts_)) of the
-      // block number (the write bit is stripped first; for the platform
-      // bank this is the historical bits 2..6).
-      part_buf_[((word & FastCacheSim::kPackedBlockMask) >> scatter_shift_) &
-                pmask]
-          .push_back(word);
-    }
-    if (!pool_) pool_ = std::make_unique<ThreadPool>(jobs_ - 1);
-    std::vector<std::future<void>> pending;
-    pending.reserve(jobs_ - 1);
-    for (unsigned s = 1; s < jobs_; ++s) {
-      pending.push_back(pool_->submit([this, s] { replay_shard(s); }));
-    }
-    replay_shard(0);
-    for (std::future<void>& f : pending) f.get();  // rethrows shard errors
+  if (sharded_) {
+    // The previous feed's replays still read the buckets: wait (and
+    // surface their errors) before refilling them.
+    sharded_->wait();
+    if (!packed.empty()) sharded_->launch(packed);
   } else {
     for (SweepGroup& g : sweep_groups_) g.shards.front().replay(packed);
     for (GeomSweepGroup& g : geom_groups_) g.shards.front().replay(packed);
@@ -451,18 +507,25 @@ std::vector<CacheStats> BankAccumulator::stats() const {
   for (std::size_t i = 0; i < geom_fast_bank_.size(); ++i) {
     out[i] = geom_fast_bank_[i].stats();
   }
-  for (const SweepGroup& g : sweep_groups_) {
+  if (sharded_) sharded_->wait();
+  for (std::size_t gi = 0; gi < sweep_groups_.size(); ++gi) {
+    const SweepGroup& g = sweep_groups_[gi];
+    const std::vector<StackSweepSim>& sims =
+        sharded_ ? sharded_->stack[gi] : g.shards;
     StackSweepSim::Totals totals;
-    for (const StackSweepSim& shard : g.shards) shard.add_totals(totals);
+    for (const StackSweepSim& shard : sims) shard.add_totals(totals);
     for (std::size_t j = 0; j < g.configs.size(); ++j) {
-      out[g.where[j]] = g.shards.front().stats_from(totals, g.configs[j]);
+      out[g.where[j]] = sims.front().stats_from(totals, g.configs[j]);
     }
   }
-  for (const GeomSweepGroup& g : geom_groups_) {
+  for (std::size_t gi = 0; gi < geom_groups_.size(); ++gi) {
+    const GeomSweepGroup& g = geom_groups_[gi];
+    const std::vector<NestedSweepSim>& sims =
+        sharded_ ? sharded_->nested[gi] : g.shards;
     NestedSweepSim::Totals totals;
-    for (const NestedSweepSim& shard : g.shards) shard.add_totals(totals);
+    for (const NestedSweepSim& shard : sims) shard.add_totals(totals);
     for (std::size_t j = 0; j < g.geoms.size(); ++j) {
-      out[g.where[j]] = g.shards.front().stats_from(totals, g.geoms[j]);
+      out[g.where[j]] = sims.front().stats_from(totals, g.geoms[j]);
     }
   }
   for (std::size_t i = 0; i < singleton_sims_.size(); ++i) {
@@ -471,17 +534,17 @@ std::vector<CacheStats> BankAccumulator::stats() const {
   for (std::size_t i = 0; i < geom_singleton_sims_.size(); ++i) {
     out[geom_singleton_where_[i]] = geom_singleton_sims_[i].stats();
   }
-  if (jobs_ > 1 && metrics_enabled()) {
+  if (sharded_ && metrics_enabled()) {
     std::uint64_t total = 0;
     std::uint64_t peak = 0;
-    for (const std::uint64_t c : shard_records_) {
+    for (const std::uint64_t c : sharded_->shard_words) {
       total += c;
       peak = std::max(peak, c);
     }
     if (total > 0) {
       const double mean = static_cast<double>(total) / jobs_;
       std::cerr << "[sweep] shard imbalance: jobs=" << jobs_
-                << " partitions=" << parts_ << " max=" << peak
+                << " partitions=" << sharded_->parts << " max=" << peak
                 << " mean=" << static_cast<std::uint64_t>(mean)
                 << " max/mean=" << peak / mean << "\n";
     }

@@ -40,8 +40,6 @@
 
 namespace stcache {
 
-class ThreadPool;  // util/thread_pool.hpp — owned by BankAccumulator
-
 enum class ReplayEngine : std::uint8_t {
   kDefault = 0,  // resolve to the process-wide default (oneshot unless overridden)
   kReference,
@@ -70,8 +68,8 @@ void set_default_sweep_jobs(unsigned jobs);
 // Number of set partitions the parallel sweep scatters a packed stream
 // into: a power of two in [1, 32], default 32, overridable via
 // STCACHE_SWEEP_PARTITIONS (resolved once per process). Shard s replays
-// partitions s, s+jobs, s+2*jobs, ... — more partitions than shards
-// smooths imbalance without changing results.
+// line-size group g over partitions p with (p + g) mod jobs == s — more
+// partitions than shards smooths imbalance without changing results.
 unsigned sweep_partitions();
 
 const char* to_string(ReplayEngine engine);
@@ -211,9 +209,22 @@ std::vector<CacheStats> measure_config_bank(
 // would have contributed serially. stats() sums the per-shard Totals —
 // exact integer addition — making the merged CacheStats bit-identical
 // to a serial sweep for every shard count; tests/sharded_sweep_test.cpp
-// enforces this. Shard 0 runs on the calling thread; shards 1..jobs-1
-// run on a lazily spawned ThreadPool owned by the accumulator. The
-// reference/fast/singleton paths stay serial (nothing shares their
+// enforces this.
+//
+// The unit of shard work is a (group, partition) item — one line-size
+// traversal over one bucket — owned by shard (partition + group) mod
+// jobs, so the traversals of one hot partition land on different shards.
+// Sharded feeds are pipelined: feed() waits for the previous feed's
+// replays, scatters the words into the buckets and returns while all
+// `jobs` shards replay them on a lazily spawned ThreadPool of `jobs`
+// workers owned by the accumulator. The caller may reuse or overwrite its
+// span as soon as feed() returns (the buckets hold copies). An exception
+// thrown by a shard replay surfaces from the next feed() or stats()
+// (after every replay in flight has finished); the destructor and a move
+// assignment onto the bank wait for in-flight replays and drop their
+// errors. All sharded state sits in one heap block, so a bank may be
+// moved while replays run. The reference/fast/singleton paths stay serial
+// and run on the calling thread inside feed() (nothing shares their
 // traversal, so the oneshot groups are where the wall-clock lives).
 //
 // The geometry-bank constructor accepts a scaled space's CacheGeometry
@@ -239,16 +250,23 @@ class BankAccumulator {
   BankAccumulator(BankAccumulator&&) noexcept;
   BankAccumulator& operator=(BankAccumulator&&) noexcept;
 
+  // Folds the next in-order slice. The caller may reuse `packed` as soon
+  // as this returns, even while sharded replays of it are still running.
+  // Rethrows an error of the previous feed's shard replays.
   void feed(std::span<const std::uint32_t> packed);
-  // stats()[i] corresponds to configs[i] at construction. With metrics
-  // enabled and jobs > 1, prints the "[sweep] shard imbalance" line.
+  // stats()[i] corresponds to configs[i] at construction. Waits for the
+  // last feed's shard replays and rethrows their error, if any. Not safe
+  // to call concurrently with feed() or another stats(). With metrics
+  // enabled and jobs > 1, prints the "[sweep] shard imbalance" line:
+  // per shard, the words replayed summed over its (group, partition)
+  // items, as max, mean and max/mean.
   std::vector<CacheStats> stats() const;
   std::uint64_t words_fed() const { return words_fed_; }
   // Effective shard count for the oneshot sweep groups (1 = serial).
   unsigned sweep_jobs() const { return jobs_; }
 
  private:
-  void replay_shard(unsigned shard);
+  struct Sharded;  // replay.cpp: buckets, sim replicas, pool, pending
 
   std::size_t n_;
   std::uint64_t words_fed_ = 0;
@@ -256,7 +274,8 @@ class BankAccumulator {
   std::vector<ConfigurableCache> reference_bank_;
   std::vector<FastCacheSim> fast_bank_;  // fast engine, index-aligned
   struct SweepGroup {
-    std::vector<StackSweepSim> shards;  // [0] runs on the calling thread
+    // The serial traversal (one sim); moved into sharded_ when jobs > 1.
+    std::vector<StackSweepSim> shards;
     std::vector<CacheConfig> configs;
     std::vector<std::size_t> where;  // indices into the bank's stats
   };
@@ -267,20 +286,15 @@ class BankAccumulator {
   std::vector<CacheModel> geom_reference_bank_;
   std::vector<FastGeomSim> geom_fast_bank_;
   struct GeomSweepGroup {
-    std::vector<NestedSweepSim> shards;  // [0] runs on the calling thread
+    std::vector<NestedSweepSim> shards;  // as SweepGroup::shards
     std::vector<CacheGeometry> geoms;
     std::vector<std::size_t> where;
   };
   std::vector<GeomSweepGroup> geom_groups_;  // oneshot: per line-size family
   std::vector<std::size_t> geom_singleton_where_;
   std::vector<FastGeomSim> geom_singleton_sims_;
-  // Parallel-sweep state (jobs_ > 1 only).
-  unsigned jobs_ = 1;   // sweep shard count
-  unsigned parts_ = 1;  // scatter partitions (power of two, >= jobs_)
-  unsigned scatter_shift_ = 2;  // low bit of the partition key
-  std::vector<std::vector<std::uint32_t>> part_buf_;  // reused per feed
-  std::vector<std::uint64_t> shard_records_;  // per-shard records replayed
-  std::unique_ptr<ThreadPool> pool_;          // jobs_ - 1 workers, lazy
+  unsigned jobs_ = 1;  // sweep shard count
+  std::unique_ptr<Sharded> sharded_;  // parallel-sweep state (jobs_ > 1)
 };
 
 }  // namespace stcache

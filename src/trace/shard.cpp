@@ -92,9 +92,23 @@ std::uint64_t ShardedSessionQueues::open_session() {
   std::lock_guard<std::mutex> lock(mu_);
   if (shutdown_) fail("session queues: shut down");
   const std::uint64_t id = next_session_++;
+  // Pin to the shard with the fewest live (streaming or finishing)
+  // sessions; ties go to the first such shard from the round-robin cursor.
+  std::vector<std::size_t> live(shards_.size(), 0);
+  for (const auto& [other, session] : sessions_) {
+    if (session.state == SessionState::kStreaming ||
+        session.state == SessionState::kFinishing) {
+      ++live[session.shard];
+    }
+  }
+  std::size_t best = next_shard_;
+  for (std::size_t k = 1; k < shards_.size(); ++k) {
+    const std::size_t cand = (next_shard_ + k) % shards_.size();
+    if (live[cand] < live[best]) best = cand;
+  }
   Session s;
-  s.shard = next_shard_;
-  next_shard_ = (next_shard_ + 1) % shards_.size();
+  s.shard = best;
+  next_shard_ = (best + 1) % shards_.size();
   sessions_.emplace(id, s);
   return id;
 }

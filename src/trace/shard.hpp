@@ -18,8 +18,10 @@
 //                         socket.
 //
 //   ShardedSessionQueues  The session registry plus per-shard work queues.
-//                         A session is opened by a producer, pinned to one
-//                         shard (round-robin) for its lifetime, and pushes
+//                         A session is opened by a producer, pinned for
+//                         its lifetime to the shard with the fewest live
+//                         (streaming or finishing) sessions, ties broken
+//                         round-robin, and pushes
 //                         chunks in order; each shard is drained by exactly
 //                         one worker thread, which round-robins across the
 //                         shard's sessions (per-session FIFO, cross-session
@@ -141,8 +143,10 @@ class ShardedSessionQueues {
   std::size_t session_budget() const { return session_budget_; }
 
   // --- producer side (any thread) ------------------------------------------
-  // Register a new session and pin it to a shard (round-robin). Session
-  // ids are process-unique and never reused.
+  // Register a new session and pin it to the shard with the fewest
+  // streaming or finishing sessions; ties go to the first such shard at
+  // or after a round-robin cursor. Session ids are process-unique and
+  // never reused.
   std::uint64_t open_session();
   std::size_t shard_of(std::uint64_t session) const;
   // Queue one chunk in stream order. Blocks while the session already has

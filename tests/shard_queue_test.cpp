@@ -87,6 +87,27 @@ TEST(ShardQueue, SessionsPinToShardsRoundRobin) {
   EXPECT_EQ(q.state(std::uint64_t{999}), SessionState::kClosed);
 }
 
+// A new session goes to the least-loaded shard, not the next in rotation:
+// once B closes, C must not queue behind A while B's worker idles.
+TEST(ShardQueue, NewSessionAvoidsBusyShard) {
+  ChunkPool pool(4, 16);
+  ShardedSessionQueues q(2, pool, 2);
+  const std::uint64_t a = q.open_session();
+  const std::uint64_t b = q.open_session();
+  ASSERT_NE(q.shard_of(a), q.shard_of(b));
+  q.close_session(b);
+  const std::uint64_t c = q.open_session();
+  EXPECT_NE(q.shard_of(c), q.shard_of(a));
+  // A delivered (done) session no longer loads its shard either.
+  ASSERT_TRUE(q.finish(c));
+  ShardedSessionQueues::Item item;
+  ASSERT_TRUE(q.pop(q.shard_of(c), item));
+  q.mark_done(c);
+  q.release(std::move(item));
+  const std::uint64_t d = q.open_session();
+  EXPECT_NE(q.shard_of(d), q.shard_of(a));
+}
+
 TEST(ShardQueue, FinishQueuesPoolFreeMarker) {
   ChunkPool pool(2, 16);
   ShardedSessionQueues q(1, pool, 2);

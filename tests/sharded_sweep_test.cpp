@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "cache/config.hpp"
+#include "cache/fast_cache.hpp"
 #include "cache/stack_sweep.hpp"
 #include "core/scaled_space.hpp"
 #include "trace/replay.hpp"
@@ -292,7 +293,84 @@ TEST(ShardedSweep, ImbalanceMetricBehindMetricsFlag) {
   set_metrics_enabled(was);
 }
 
-// Moved-from/moved-to banks keep working (the pool and scratch move too).
+// A stream confined to one set partition: its three line-size traversals
+// are three (group, partition) items, owned by shards p, p+1 and p+2, so
+// at 4 jobs the per-shard word counts are N, N, N, 0 and max/mean = 4/3
+// (a partition-owned split would put all 3N words on one shard: 4.0).
+TEST(ShardedSweep, OnePartitionStreamSpreadsGroupsAcrossShards) {
+  if (sweep_partitions() < 4) GTEST_SKIP() << "needs >= 4 partitions";
+  std::vector<std::uint32_t> packed;
+  for (std::uint32_t i = 0; i < 20'000; ++i) {
+    // Bits 2..6 of the block number (the partition key) stay zero.
+    const std::uint32_t block = ((i * 2654435761u) % 4096u) << 7 | (i & 3u);
+    packed.push_back(block | (i % 5 == 0 ? FastCacheSim::kPackedWriteBit : 0));
+  }
+  const bool was = metrics_enabled();
+  set_metrics_enabled(true);
+  BankAccumulator bank(all_configs(), {}, ReplayEngine::kOneshot, 4);
+  ASSERT_EQ(bank.sweep_jobs(), 4u);
+  bank.feed(packed);
+  testing::internal::CaptureStderr();
+  const std::vector<CacheStats> sharded = bank.stats();
+  const std::string err = testing::internal::GetCapturedStderr();
+  set_metrics_enabled(was);
+  const std::size_t at = err.find("max/mean=");
+  ASSERT_NE(err.find("[sweep] shard imbalance"), std::string::npos) << err;
+  ASSERT_NE(at, std::string::npos) << err;
+  EXPECT_LE(std::stod(err.substr(at + 9)), 4.0 / 3.0 + 1e-4) << err;
+  const std::vector<CacheStats> serial = serial_stats(packed);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(sharded[i], serial[i]) << all_configs()[i].name();
+  }
+}
+
+// feed() returns while the shard replays still run; they must work on the
+// bank's own copy of the words. Clobbering the caller's buffer right after
+// every feed must leave the stats bit-identical to serial.
+TEST(ShardedSweep, PipelinedFeedCopiesCallerBuffer) {
+  const std::vector<std::uint32_t>& words = packed_workload("ucbqsort").data;
+  const std::vector<CacheStats> serial = serial_stats(words);
+  const std::size_t chunk = 8191;
+  for (const unsigned jobs : {2u, 4u, 7u}) {
+    BankAccumulator bank(all_configs(), {}, ReplayEngine::kOneshot, jobs);
+    std::vector<std::uint32_t> buffer;
+    for (std::size_t off = 0; off < words.size(); off += chunk) {
+      const std::size_t n = std::min(chunk, words.size() - off);
+      buffer.assign(words.begin() + off, words.begin() + off + n);
+      bank.feed(buffer);
+      std::fill(buffer.begin(), buffer.end(), 0xFFFF'FFFFu);
+    }
+    const std::vector<CacheStats> sharded = bank.stats();
+    for (std::size_t i = 0; i < serial.size(); ++i) {
+      EXPECT_EQ(sharded[i], serial[i])
+          << "jobs=" << jobs << " x " << all_configs()[i].name();
+    }
+  }
+}
+
+// Destroying a bank, or move-assigning over it, while its replays are in
+// flight waits for them (TSan and ASan would flag a replay touching freed
+// state).
+TEST(ShardedSweep, DestroyWithReplaysInFlight) {
+  const PackedWorkload& w = packed_workload("ucbqsort");
+  for (const unsigned jobs : {2u, 4u}) {
+    BankAccumulator bank(all_configs(), {}, ReplayEngine::kOneshot, jobs);
+    bank.feed(w.ifetch);
+  }
+  BankAccumulator target(all_configs(), {}, ReplayEngine::kOneshot, 4);
+  target.feed(w.data);
+  BankAccumulator source(all_configs(), {}, ReplayEngine::kOneshot, 4);
+  source.feed(w.ifetch);
+  target = std::move(source);
+  const std::vector<CacheStats> moved = target.stats();
+  const std::vector<CacheStats> serial = serial_stats(w.ifetch);
+  for (std::size_t i = 0; i < serial.size(); ++i) {
+    EXPECT_EQ(moved[i], serial[i]) << all_configs()[i].name();
+  }
+}
+
+// Moved-from/moved-to banks keep working (the pool and scratch move too,
+// with the first half's replays still in flight at the move).
 TEST(ShardedSweep, MoveSemantics) {
   const PackedWorkload& w = packed_workload("crc");
   const std::vector<CacheStats> serial = serial_stats(w.ifetch);
